@@ -11,31 +11,36 @@ complement on the high edge is pushed to the node's own reference.
 The manager offers the classical ``ite``-based boolean operations plus
 dedicated two-argument ``apply`` operations (AND/XOR with OR, XNOR and
 difference derived through complements), existential quantification,
-restriction, variable renaming and satisfying-assignment counting —
-everything the symbolic reachability engine and the symbolic encoding
-tier (:mod:`repro.symbolic`) need, and nothing more.
+cube cofactoring (restriction), variable renaming and
+satisfying-assignment counting — everything the symbolic reachability
+engine and the symbolic encoding tier (:mod:`repro.symbolic`) need, and
+nothing more.
 
-Operation caches (``ite``, ``apply`` and ``exists``) share one
-accounting path (:class:`_OpCache`): each family counts hits, misses and
-flushes, :meth:`BDD.cache_stats` aggregates them, and the per-family
-counters are published to the :mod:`repro.obs` metrics registry as
-``pyetrify_bdd_cache_*``.  With ``max_cache_entries`` set a cache that
+Every memoized operation keeps a computed table that lives as long as
+the manager (``ite``, ``apply``, ``exists``, ``cofactor``, ``rename``
+and ``sat_count``).  The tables share one accounting path
+(:class:`_OpCache`): each family counts hits, misses and flushes,
+:meth:`BDD.cache_stats` aggregates them, and the per-family counters are
+published to the :mod:`repro.obs` metrics registry as
+``pyetrify_bdd_cache_*``.  With ``max_cache_entries`` set a table that
 grows past the bound is flushed, trading recomputation for memory; the
-caches only memoize pure operations, so correctness is unaffected.
+tables only memoize pure operations, so correctness is unaffected.
 
 Variables vs. levels
 --------------------
-The public API is *variable-index* based (``var(i)``, ``restrict``,
+The public API is *variable-index* based (``var(i)``, ``cofactor``,
 ``support`` …) and stays stable under dynamic reordering: internally
 every variable owns a *level* (its position in the current order), and
 :meth:`BDD.reorder` moves variables between levels by Rudell-style
 sifting of adjacent-level swaps.  A swap rewrites the affected nodes *in
 place* — every reference keeps denoting the same boolean function — so
-outstanding node references and the operation caches remain valid across
-reorders.  ``reorder`` accepts *groups* of variables that must stay
-adjacent (the interleaved primed pairs of the relational encoding), which
-keeps :meth:`rename` with :func:`prime_map` order-preserving after any
-number of reorders.
+outstanding node references and the function-valued computed tables
+(``ite``, ``apply``, ``exists``, ``cofactor``, ``rename``) remain valid
+across reorders.  Only the ``sat_count`` table is cleared by a reorder:
+it stores per-node counts relative to level positions.  ``reorder``
+accepts *groups* of variables that must stay adjacent (the interleaved
+primed pairs of the relational encoding), which keeps :meth:`rename`
+with :func:`prime_map` order-preserving after any number of reorders.
 
 Relational operations (transition images, the code-equality relation of
 the CSC detector) work on *primed pairs* of variables: variable ``i`` of
@@ -90,10 +95,10 @@ def unprime_map(num_pairs: int) -> Dict[int, int]:
 class _OpCache:
     """One operation-result cache family with shared accounting.
 
-    A bounded dictionary plus hit/miss/flush counters; every cache of the
-    manager (``ite``, ``apply``, ``exists``) goes through this single
-    path, and :meth:`publish` forwards counter deltas to the metrics
-    registry so repeated publications never double-count.
+    A bounded dictionary plus hit/miss/flush counters; every computed
+    table of the manager goes through this single path, and
+    :meth:`publish` forwards counter deltas to the metrics registry so
+    repeated publications never double-count.
     """
 
     __slots__ = (
@@ -213,6 +218,19 @@ class BDD:
         self._ite_cache = _OpCache("ite", max_cache_entries)
         self._apply_cache = _OpCache("apply", max_cache_entries)
         self._exists_cache = _OpCache("exists", max_cache_entries)
+        # (regular node, cube) -> cofactor; cubes are nodes, so entries
+        # survive reordering like every other function-valued table
+        self._cofactor_cache = _OpCache("cofactor", max_cache_entries)
+        # cube nodes already checked by cofactor (a node's function, hence
+        # its being a cube, survives reordering)
+        self._cubes: Set[Node] = set()
+        # (regular node, mapping id) -> renamed node
+        self._rename_cache = _OpCache("rename", max_cache_entries)
+        self._rename_maps: Dict[Tuple[Tuple[int, int], ...], Tuple[int, Dict[int, int]]] = {}
+        # (regular node, variable-set id) -> count below the node's
+        # position; positions follow the level order, so reorder clears it
+        self._sat_cache = _OpCache("sat_count", max_cache_entries)
+        self._sat_sets: Dict[Tuple[int, ...], Tuple[int, Dict[int, int]]] = {}
         self._reorders = 0
         self._next_reorder = auto_reorder_threshold or 0
 
@@ -556,34 +574,107 @@ class BDD:
     # quantification and restriction
     # ------------------------------------------------------------------
     def restrict(self, node: Node, index: int, value: int) -> Node:
-        """Fix one variable of ``node`` to a constant."""
+        """Fix one variable of ``node`` to a constant (a one-literal
+        :meth:`cofactor`)."""
         if not 0 <= index < self.num_vars:
             raise IndexError(f"variable index {index} out of range")
-        target_level = self._var2level[index]
-        v2l = self._var2level
+        literal = self._make_node(index, FALSE, TRUE)
+        return self._cofactor(node, literal if value else -literal)
+
+    def cofactor(self, node: Node, cube: Node) -> Node:
+        """Fix every variable of ``cube`` to its literal's value, in one walk.
+
+        ``cube`` is a conjunction of literals given as a node (as
+        :meth:`cube` builds it), the shape of CUDD's ``Cudd_Cofactor``;
+        the result equals the chain of one :meth:`restrict` per literal.
+        Results are memoized on ``(node, cube)`` in a computed table that
+        lives as long as the manager and survives :meth:`reorder`.
+        Raises :class:`ValueError` when ``cube`` is not a cube.
+        """
+        if cube not in self._cubes:
+            self._check_cube(cube)
+            self._cubes.add(cube)
+        return self._cofactor(node, cube)
+
+    def _check_cube(self, cube: Node) -> None:
         nodes = self._nodes
-        memo: Dict[Node, Node] = {}
-
-        def walk(current: Node) -> Node:
-            # restriction commutes with complement: recurse regular
-            if current == TRUE or current == FALSE:
-                return current
-            if current < 0:
-                return -walk(-current)
-            found = memo.get(current)
-            if found is not None:
-                return found
-            var, low, high = nodes[current]
-            if v2l[var] > target_level:
-                result = current
-            elif var == index:
-                result = high if value else low
+        current = cube
+        while current != TRUE:
+            if current == FALSE:
+                raise ValueError("cofactor needs a satisfiable cube")
+            entry = nodes[current if current > 0 else -current]
+            low, high = (entry[1], entry[2]) if current > 0 else (-entry[1], -entry[2])
+            if low == FALSE:
+                current = high
+            elif high == FALSE:
+                current = low
             else:
-                result = self._make_node(var, walk(low), walk(high))
-            memo[current] = result
-            return result
+                raise ValueError("cofactor needs a conjunction of literals")
 
-        return walk(node)
+    def _cofactor(self, node: Node, cube: Node) -> Node:
+        # cofactoring commutes with complement, so the table holds
+        # regular nodes only; like apply_and, the cache and unique-table
+        # accesses are inlined because this is the preimage hot path
+        if node == TRUE or node == FALSE or cube == TRUE:
+            return node
+        negate = node < 0
+        if negate:
+            node = -node
+        nodes = self._nodes
+        v2l = self._var2level
+        var, low, high = nodes[node]
+        level = v2l[var]
+        # literals above the node's top variable cannot occur below it:
+        # drop them first, so the key names only the cube part that matters
+        while True:
+            cube_negated = cube < 0
+            cube_var, cube_low, cube_high = nodes[-cube if cube_negated else cube]
+            if v2l[cube_var] >= level:
+                break
+            if cube_negated:
+                cube_low = -cube_low
+                cube_high = -cube_high
+            cube = cube_high if cube_low == FALSE else cube_low
+            if cube == TRUE:
+                return -node if negate else node
+        key = (node, cube)
+        cache = self._cofactor_cache
+        result = cache.data.get(key)
+        if result is not None:
+            cache.hits += 1
+            return -result if negate else result
+        cache.misses += 1
+        if cube_var == var:
+            if cube_negated:
+                cube_low = -cube_low
+                cube_high = -cube_high
+            if cube_low == FALSE:
+                result = self._cofactor(high, cube_high)
+            else:
+                result = self._cofactor(low, cube_low)
+        else:
+            low = self._cofactor(low, cube)
+            high = self._cofactor(high, cube)
+            if low == high:
+                result = low
+            else:
+                flip = high < 0
+                if flip:
+                    low = -low
+                    high = -high
+                table = self._unique[var]
+                node_key = (low, high)
+                interned = table.get(node_key)
+                if interned is None:
+                    interned = len(nodes)
+                    nodes.append((var, low, high))
+                    table[node_key] = interned
+                result = -interned if flip else interned
+        if cache.max_entries is not None and len(cache.data) >= cache.max_entries:
+            cache.data.clear()
+            cache.flushes += 1
+        cache.data[key] = result
+        return -result if negate else result
 
     def exists(self, node: Node, variables: Sequence[int]) -> Node:
         """Existentially quantify ``variables`` out of ``node``."""
@@ -767,7 +858,14 @@ class BDD:
     # cache accounting
     # ------------------------------------------------------------------
     def _cache_families(self) -> Tuple[_OpCache, ...]:
-        return (self._ite_cache, self._apply_cache, self._exists_cache)
+        return (
+            self._ite_cache,
+            self._apply_cache,
+            self._exists_cache,
+            self._cofactor_cache,
+            self._rename_cache,
+            self._sat_cache,
+        )
 
     def publish_metrics(self) -> None:
         """Forward cache-family counter deltas to the metrics registry."""
@@ -776,7 +874,7 @@ class BDD:
             family.publish(hits, misses, flushes, entries)
 
     def cache_stats(self) -> Dict[str, object]:
-        """Hit/miss/flush counters and current sizes of the operation caches."""
+        """Hit/miss/flush counters and current sizes of the computed tables."""
         families = self._cache_families()
         hits = sum(f.hits for f in families)
         misses = sum(f.misses for f in families)
@@ -791,6 +889,9 @@ class BDD:
             "ite_entries": len(self._ite_cache.data),
             "apply_entries": len(self._apply_cache.data),
             "exists_entries": len(self._exists_cache.data),
+            "cofactor_entries": len(self._cofactor_cache.data),
+            "rename_entries": len(self._rename_cache.data),
+            "sat_count_entries": len(self._sat_cache.data),
             "max_cache_entries": self.max_cache_entries,
             "nodes": self.num_nodes,
             "reorders": self._reorders,
@@ -811,12 +912,32 @@ class BDD:
         (:func:`prime_map` / :func:`unprime_map`; grouped reordering
         keeps each pair adjacent, so the maps stay order-preserving after
         :meth:`reorder`).  Raises :class:`ValueError` for mappings that
-        would reorder the support.
+        would reorder the support.  Results are memoized per mapping in a
+        computed table that lives as long as the manager; a renamed
+        function does not depend on the order, so entries survive
+        :meth:`reorder`, and a hit skips the support check.
         """
+        pairs = tuple(sorted((old, new) for old, new in mapping.items() if old != new))
+        if not pairs or node == TRUE or node == FALSE:
+            return node
+        registered = self._rename_maps.get(pairs)
+        if registered is None:
+            registered = (len(self._rename_maps), dict(pairs))
+            self._rename_maps[pairs] = registered
+        map_id, effective = registered
+        regular = node if node > 0 else -node
+        result = self._rename_cache.data.get((regular, map_id))
+        if result is None:
+            self._check_rename(regular, effective)
+            result = self._rename(regular, map_id, effective)
+        else:
+            self._rename_cache.hits += 1
+        return result if node > 0 else -result
+
+    def _check_rename(self, node: Node, mapping: Dict[int, int]) -> None:
         v2l = self._var2level
-        support = sorted(self.support(node), key=v2l.__getitem__)
         images = []
-        for old in support:
+        for old in sorted(self.support(node), key=v2l.__getitem__):
             new = mapping.get(old, old)
             if not 0 <= new < self.num_vars:
                 raise ValueError(f"rename target {new} out of range")
@@ -825,23 +946,27 @@ class BDD:
             raise ValueError(
                 "rename mapping must preserve the variable order on the support"
             )
-        nodes = self._nodes
-        memo: Dict[Node, Node] = {}
 
-        def walk(current: Node) -> Node:
-            if current == TRUE or current == FALSE:
-                return current
-            if current < 0:
-                return -walk(-current)
-            found = memo.get(current)
-            if found is not None:
-                return found
-            var, low, high = nodes[current]
-            result = self._make_node(mapping.get(var, var), walk(low), walk(high))
-            memo[current] = result
+    def _rename(self, node: Node, map_id: int, mapping: Dict[int, int]) -> Node:
+        if node == TRUE or node == FALSE:
+            return node
+        if node < 0:
+            return -self._rename(-node, map_id, mapping)
+        key = (node, map_id)
+        cache = self._rename_cache
+        result = cache.data.get(key)
+        if result is not None:
+            cache.hits += 1
             return result
-
-        return walk(node)
+        cache.misses += 1
+        var, low, high = self._nodes[node]
+        result = self._make_node(
+            mapping.get(var, var),
+            self._rename(low, map_id, mapping),
+            self._rename(high, map_id, mapping),
+        )
+        cache.put(key, result)
+        return result
 
     # ------------------------------------------------------------------
     # dynamic reordering (sifting)
@@ -1023,6 +1148,8 @@ class BDD:
             for block in candidates:
                 self._sift_block(blocks, blocks.index(block), max_growth, window)
             self._reorders += 1
+            self._sat_cache.data.clear()
+            self._sat_sets.clear()
         return self._table_size() - before
 
     def maybe_reorder(self, groups: Optional[Iterable[Sequence[int]]] = None) -> bool:
@@ -1087,48 +1214,73 @@ class BDD:
         ranges over one copy.  Raises :class:`ValueError` when ``node``
         depends on a variable outside the set.  The count is invariant
         under :meth:`reorder` — positions follow the current level order.
+        Per-node counts are memoized per ordered variable set in a
+        computed table that lives until the next :meth:`reorder` (the
+        counts are relative to level positions).
         """
-        v2l = self._var2level
-        ordered = sorted(set(variables), key=v2l.__getitem__)
-        position = {var: i for i, var in enumerate(ordered)}
-        total = len(ordered)
-        nodes = self._nodes
-        cache: Dict[Node, int] = {}
-
-        def pos_of(current: Node) -> int:
-            if current == TRUE or current == FALSE:
-                return total
-            var = nodes[current if current > 0 else -current][0]
-            found = position.get(var)
-            if found is None:
-                raise ValueError(
-                    f"function depends on variable {var}, which is not in the "
-                    "counted set"
-                )
-            return found
-
-        def count_at(current: Node) -> int:
-            """Assignments of the variables at/below ``current``'s position."""
-            if current == TRUE:
-                return 1
-            if current == FALSE:
-                return 0
-            if current < 0:
-                return (1 << (total - pos_of(current))) - count_at(-current)
-            found = cache.get(current)
-            if found is not None:
-                return found
-            here = pos_of(current)
-            _, low, high = nodes[current]
-            result = (count_at(low) << (pos_of(low) - here - 1)) + (
-                count_at(high) << (pos_of(high) - here - 1)
+        ordered = tuple(sorted(set(variables), key=self._var2level.__getitem__))
+        registered = self._sat_sets.get(ordered)
+        if registered is None:
+            registered = (
+                len(self._sat_sets),
+                {var: i for i, var in enumerate(ordered)},
             )
-            cache[current] = result
-            return result
-
+            self._sat_sets[ordered] = registered
+        set_id, position = registered
+        total = len(ordered)
         if node == FALSE:
             return 0
-        return count_at(node) << pos_of(node)
+        if node == TRUE:
+            return 1 << total
+        here = self._position(node, position)
+        return self._count_edge(node, here, set_id, position, total) << here
+
+    def _position(self, node: Node, position: Dict[int, int]) -> int:
+        var = self._nodes[node if node > 0 else -node][0]
+        found = position.get(var)
+        if found is None:
+            raise ValueError(
+                f"function depends on variable {var}, which is not in the "
+                "counted set"
+            )
+        return found
+
+    def _count_edge(
+        self,
+        node: Node,
+        here: int,
+        set_id: int,
+        position: Dict[int, int],
+        total: int,
+    ) -> int:
+        """Assignments of the variables at/below position ``here`` (the
+        position of ``node``'s top variable, or ``total`` at a terminal)."""
+        if node == TRUE:
+            return 1
+        if node == FALSE:
+            return 0
+        if node < 0:
+            return (1 << (total - here)) - self._count_edge(
+                -node, here, set_id, position, total
+            )
+        key = (node, set_id)
+        cache = self._sat_cache
+        result = cache.data.get(key)
+        if result is not None:
+            cache.hits += 1
+            return result
+        cache.misses += 1
+        _, low, high = self._nodes[node]
+        low_at = total if low == TRUE or low == FALSE else self._position(low, position)
+        high_at = total if high == TRUE else self._position(high, position)
+        result = (
+            self._count_edge(low, low_at, set_id, position, total) << (low_at - here - 1)
+        ) + (
+            self._count_edge(high, high_at, set_id, position, total)
+            << (high_at - here - 1)
+        )
+        cache.put(key, result)
+        return result
 
     def pick_cube(self, node: Node) -> Optional[Dict[int, int]]:
         """One satisfying partial assignment as ``{variable_index: 0/1}``.

@@ -25,14 +25,22 @@ referred to in ``.marking``.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.stg.signals import SignalEdge, SignalType
 from repro.stg.stg import STG
 
 
 class GFormatError(ValueError):
-    """Raised when a ``.g`` file cannot be parsed."""
+    """Raised when a ``.g`` file cannot be parsed.
+
+    ``line`` is the 1-based number of the offending line (also named in
+    the message), or ``None`` when the fault belongs to no single line.
+    """
+
+    def __init__(self, message: str, line: Optional[int] = None) -> None:
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.line = line
 
 
 _MARKING_TOKEN_RE = re.compile(r"(<[^>]*>|[^\s{}]+)")
@@ -49,16 +57,25 @@ def _tokenize_graph_line(line: str) -> List[str]:
     return line.split()
 
 
+def _declare(add: Callable[[str], str], names: str, line: int) -> None:
+    """Declare each signal of a ``.inputs``-style line with ``add``."""
+    for name in names.split():
+        try:
+            add(name)
+        except ValueError as error:
+            raise GFormatError(str(error), line) from None
+
+
 def parse_g(text: str, name: Optional[str] = None) -> STG:
     """Parse ``.g`` text into an :class:`~repro.stg.stg.STG`."""
     stg = STG(name or "stg")
-    graph_lines: List[List[str]] = []
-    marking_tokens: List[str] = []
+    graph_lines: List[Tuple[int, List[str]]] = []
+    marking_tokens: List[Tuple[int, str]] = []
     initial_values: Dict[str, int] = {}
     in_graph = False
     saw_end = False
 
-    for raw_line in text.splitlines():
+    for number, raw_line in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw_line).strip()
         if not line:
             continue
@@ -71,21 +88,20 @@ def parse_g(text: str, name: Optional[str] = None) -> STG:
                 if rest:
                     stg.name = rest.split()[0]
             elif directive == ".inputs":
-                for signal in rest.split():
-                    stg.add_input(signal)
+                _declare(stg.add_input, rest, number)
             elif directive == ".outputs":
-                for signal in rest.split():
-                    stg.add_output(signal)
+                _declare(stg.add_output, rest, number)
             elif directive in (".internal", ".internals"):
-                for signal in rest.split():
-                    stg.add_internal(signal)
+                _declare(stg.add_internal, rest, number)
             elif directive == ".dummy":
                 for dummy in rest.split():
                     stg.add_dummy_transition(dummy)
             elif directive == ".graph":
                 in_graph = True
             elif directive == ".marking":
-                marking_tokens.extend(_MARKING_TOKEN_RE.findall(rest))
+                marking_tokens.extend(
+                    (number, token) for token in _MARKING_TOKEN_RE.findall(rest)
+                )
             elif directive == ".initial":
                 # ".initial state 0101" style lines: values follow the
                 # declaration order of the signals.
@@ -99,11 +115,13 @@ def parse_g(text: str, name: Optional[str] = None) -> STG:
                 saw_end = True
                 break
             else:
-                raise GFormatError(f"unsupported directive: {directive!r}")
+                raise GFormatError(f"unsupported directive: {directive!r}", number)
         elif in_graph:
-            graph_lines.append(_tokenize_graph_line(line))
+            graph_lines.append((number, _tokenize_graph_line(line)))
         else:
-            raise GFormatError(f"unexpected line outside .graph section: {raw_line!r}")
+            raise GFormatError(
+                f"unexpected line outside .graph section: {raw_line!r}", number
+            )
 
     if not saw_end and not graph_lines:
         raise GFormatError("no .graph section found")
@@ -128,33 +146,46 @@ def _is_transition_token(stg: STG, token: str) -> bool:
     return False
 
 
-def _populate_graph(stg: STG, graph_lines: List[List[str]]) -> None:
+def _populate_graph(stg: STG, graph_lines: List[Tuple[int, List[str]]]) -> None:
     # First pass: create all transition nodes so that place/transition
     # disambiguation of later arcs does not depend on line order.
-    for tokens in graph_lines:
+    for _number, tokens in graph_lines:
         for token in tokens:
             if _is_transition_token(stg, token) and not stg.net.has_transition(token):
                 stg.add_transition(SignalEdge.parse(token))
     # Second pass: create places and arcs.
-    for tokens in graph_lines:
+    for number, tokens in graph_lines:
         if len(tokens) < 2:
-            raise GFormatError(f"graph line needs a source and at least one target: {tokens}")
+            raise GFormatError(
+                f"graph line needs a source and at least one target: {tokens}", number
+            )
         source = tokens[0]
         for target in tokens[1:]:
-            stg.connect(source, target)
+            try:
+                stg.connect(source, target)
+            except ValueError as error:
+                raise GFormatError(str(error), number) from None
 
 
-def _apply_marking(stg: STG, tokens: List[str]) -> None:
+def _apply_marking(stg: STG, tokens: List[Tuple[int, str]]) -> None:
     marking: Dict[str, int] = {}
-    for token in tokens:
+    for number, token in tokens:
         if token in ("{", "}"):
             continue
         count = 1
         if "=" in token and not token.startswith("<"):
             token, _, count_text = token.partition("=")
-            count = int(count_text)
+            try:
+                count = int(count_text)
+            except ValueError:
+                raise GFormatError(
+                    f"token count {count_text!r} of place {token!r} is not an integer",
+                    number,
+                ) from None
+            if count < 0:
+                raise GFormatError(f"token count {count} of place {token!r} is negative", number)
         if not stg.net.has_place(token):
-            raise GFormatError(f"marked place {token!r} does not exist in the net")
+            raise GFormatError(f"marked place {token!r} does not exist in the net", number)
         marking[token] = marking.get(token, 0) + count
     if marking:
         stg.net.set_initial_marking(marking)

@@ -159,9 +159,7 @@ def insert_signal_symbolic(
                 bdd.apply_and(partition.sminus, pre_s1),
             ]
         )
-        witness = bdd.apply_and(
-            bdd.apply_and(view.reached, piece.enabling), illegal
-        )
+        witness = bdd.apply_and(view.sources(index), illegal)
         if witness != bdd.false:
             raise SymbolicIllegalInsertionError(
                 f"transition {piece.edge} crosses the I-partition illegally"
@@ -472,7 +470,7 @@ def _is_deterministic(view: SymbolicGraphView) -> bool:
                     bdd, ((first.after_values,), (second.after_values,))
                 )
                 violation = bdd.apply_and(
-                    bdd.apply_and(view.reached, first.enabling),
+                    view.sources(first.index),
                     bdd.apply_and(second.enabling, bdd.apply_not(same_result)),
                 )
                 if violation != bdd.false:
@@ -489,9 +487,7 @@ def _is_commutative(view: SymbolicGraphView) -> bool:
         for q in view.pieces:
             if p.index >= q.index or p.edge == q.edge:
                 continue
-            both = bdd.apply_and(
-                bdd.apply_and(view.reached, p.enabling), q.enabling
-            )
+            both = bdd.apply_and(view.sources(p.index), q.enabling)
             if both == bdd.false:
                 continue
             for q2 in view.pieces_of(q.edge):
@@ -687,12 +683,13 @@ def find_insertion_plan_symbolic(
             "enlarge_concurrency_not_supported_symbolically", name=view.name
         )
 
-    bricks = compute_bricks_symbolic(
-        view, mode=settings.brick_mode, max_explored=settings.region_budget
-    )
+    with span("symbolic.search.bricks", mode=settings.brick_mode):
+        bricks = compute_bricks_symbolic(
+            view, mode=settings.brick_mode, max_explored=settings.region_budget
+        )
+        adjacency = brick_adjacency_symbolic(view, bricks)
     if not bricks:
         return None
-    adjacency = brick_adjacency_symbolic(view, bricks)
     bdd = view.bdd
 
     evaluation_memo: Dict[Node, Optional[SymbolicBlockEvaluation]] = {}
@@ -711,55 +708,59 @@ def find_insertion_plan_symbolic(
     seen_blocks: Set[Node] = set()
     good: List[_SymbolicCandidate] = []
     next_seq = itertools.count()
-    for index, brick in enumerate(bricks):
-        evaluation = evaluate(brick)
-        if evaluation is None or evaluation.block in seen_blocks:
-            continue
-        seen_blocks.add(evaluation.block)
-        good.append(
-            _SymbolicCandidate(
-                evaluation.block,
-                view.size_of(evaluation.block),
-                frozenset([index]),
-                evaluation,
-                next(next_seq),
+    with span("symbolic.search.evaluate", blocks=len(bricks), seed=True):
+        for index, brick in enumerate(bricks):
+            evaluation = evaluate(brick)
+            if evaluation is None or evaluation.block in seen_blocks:
+                continue
+            seen_blocks.add(evaluation.block)
+            good.append(
+                _SymbolicCandidate(
+                    evaluation.block,
+                    view.size_of(evaluation.block),
+                    frozenset([index]),
+                    evaluation,
+                    next(next_seq),
+                )
             )
-        )
     if not good:
         return None
 
     frontier = _rank(good)[: settings.frontier_width]
 
     # --- Figure 4: grow blocks with adjacent bricks ---------------------
+    # (generation and evaluation interleave block by block here, so one
+    # evaluate span covers a whole growth iteration)
     for _iteration in range(settings.max_search_iterations):
         new_frontier: List[_SymbolicCandidate] = []
-        for candidate in frontier:
-            check_deadline()
-            neighbour_indices: Set[int] = set()
-            for brick_index in candidate.brick_indices:
-                neighbour_indices.update(adjacency[brick_index])
-            neighbour_indices -= set(candidate.brick_indices)
-            for brick_index in sorted(neighbour_indices):
-                grown_states = bdd.apply_or(candidate.states, bricks[brick_index])
-                if (
-                    grown_states in seen_blocks
-                    or view.size_of(grown_states) >= view.num_states
-                ):
-                    continue
-                evaluation = evaluate(grown_states)
-                seen_blocks.add(grown_states)
-                if evaluation is None:
-                    continue
-                if evaluation.cost < candidate.cost:
-                    grown = _SymbolicCandidate(
-                        grown_states,
-                        view.size_of(grown_states),
-                        candidate.brick_indices | {brick_index},
-                        evaluation,
-                        next(next_seq),
-                    )
-                    good.append(grown)
-                    new_frontier.append(grown)
+        with span("symbolic.search.evaluate", frontier=len(frontier)):
+            for candidate in frontier:
+                check_deadline()
+                neighbour_indices: Set[int] = set()
+                for brick_index in candidate.brick_indices:
+                    neighbour_indices.update(adjacency[brick_index])
+                neighbour_indices -= set(candidate.brick_indices)
+                for brick_index in sorted(neighbour_indices):
+                    grown_states = bdd.apply_or(candidate.states, bricks[brick_index])
+                    if (
+                        grown_states in seen_blocks
+                        or view.size_of(grown_states) >= view.num_states
+                    ):
+                        continue
+                    evaluation = evaluate(grown_states)
+                    seen_blocks.add(grown_states)
+                    if evaluation is None:
+                        continue
+                    if evaluation.cost < candidate.cost:
+                        grown = _SymbolicCandidate(
+                            grown_states,
+                            view.size_of(grown_states),
+                            candidate.brick_indices | {brick_index},
+                            evaluation,
+                            next(next_seq),
+                        )
+                        good.append(grown)
+                        new_frontier.append(grown)
         if not new_frontier:
             break
         frontier = _rank(new_frontier)[: settings.frontier_width]
@@ -767,11 +768,27 @@ def find_insertion_plan_symbolic(
     ranked = _rank(good)
 
     # --- merge the best disconnected blocks ------------------------------
-    merged = _greedy_merge_symbolic(view, ranked, evaluate, settings)
+    with span("symbolic.search.merge", candidates=len(ranked)):
+        merged = _greedy_merge_symbolic(view, ranked, evaluate, settings)
     if merged is not None:
         ranked = [merged] + ranked
 
     # --- validate candidates in cost order --------------------------------
+    # one span for the whole validation stage: each check builds a child
+    # graph, and the stage total is what the trace compares
+    with span("symbolic.search.sip", candidates=len(ranked)):
+        return _validate_in_order(view, signal, ranked, settings, full_conflict_count)
+
+
+def _validate_in_order(
+    view: SymbolicGraphView,
+    signal: str,
+    ranked: Sequence[_SymbolicCandidate],
+    settings: SearchSettings,
+    full_conflict_count: int,
+) -> Optional[SymbolicInsertionPlan]:
+    """The first SIP-valid, conflict-reducing candidate in rank order
+    (the validation stage of :func:`find_insertion_plan_symbolic`)."""
     persistent_before = persistent_edges_symbolic(view)
     examined = 0
     for candidate in ranked:

@@ -14,9 +14,9 @@ transition pieces" that both the STG-backed
 graphs produced by symbolic signal insertion satisfy.  The key primitive
 is the *constant-assignment preimage*: a piece ``t`` fires by setting its
 ``changed_levels`` to fixed ``after`` values, so ``{x : t(x) ∈ B}`` is
-the chain of single-variable restrictions of ``B`` at those values — one
-:meth:`~repro.bdd.bdd.BDD.restrict` per changed level, no relational
-product needed.  Images reuse the fused
+the cofactor of ``B`` by the piece's after cube — one
+:meth:`~repro.bdd.bdd.BDD.cofactor` walk, memoized in the manager's
+computed table, no relational product needed.  Images reuse the fused
 :meth:`~repro.bdd.bdd.BDD.and_exists` relational product of the
 exploration engine.
 
@@ -100,7 +100,8 @@ class SymbolicPiece:
     """One constant-assignment transition piece of a symbolic graph.
 
     Firing sets ``changed_levels`` to the constants of ``after_values``
-    (``after`` is the same assignment as a cube); ``enabling`` is the
+    (``after`` is the same assignment as a cube node, built once with the
+    piece, and the cube the preimage cofactors by); ``enabling`` is the
     raw firing condition over the unprimed levels, *not* intersected
     with the reachable set.
     """
@@ -111,8 +112,7 @@ class SymbolicPiece:
     changed_levels: List[int]
     after: Node
     after_values: Dict[int, int]
-    #: position in the owning view's piece list (set by the view; keys
-    #: the constant-assignment preimage cache)
+    #: position in the owning view's piece list (set by the view)
     index: int = -1
 
 
@@ -243,7 +243,7 @@ class SymbolicGraphView:
         self._ledger = ledger
         self._num_states: Optional[int] = None
         self._enabled_cache: Dict[SignalEdge, Node] = {}
-        self._pre_cache: Dict[Tuple[int, Node], Node] = {}
+        self._sources: Optional[List[Node]] = None
         self._size_cache: Dict[Node, int] = {}
         self._pieces_by_edge: Dict[SignalEdge, List[SymbolicPiece]] = {}
         for position, piece in enumerate(self.pieces):
@@ -260,7 +260,7 @@ class SymbolicGraphView:
         pieces = []
         for transition in ssg._transitions:
             after_values = {
-                level: 0 if bdd.restrict(transition.after, level, 1) == FALSE else 1
+                level: 0 if bdd.cofactor(transition.after, bdd.var(level)) == FALSE else 1
                 for level in transition.changed_levels
             }
             pieces.append(
@@ -362,6 +362,15 @@ class SymbolicGraphView:
             self._enabled_cache[edge] = cached
         return cached
 
+    def sources(self, piece_index: int) -> Node:
+        """``D_p = reached ∧ enabling_p``: the reachable states where the
+        piece fires (memoized per piece)."""
+        if self._sources is None:
+            bdd = self.bdd
+            reached = self.reached
+            self._sources = [bdd.apply_and(reached, p.enabling) for p in self.pieces]
+        return self._sources[piece_index]
+
     def er_set(self, edge: SignalEdge) -> Node:
         return self.bdd.apply_and(self.reached, self.enabled_predicate(edge))
 
@@ -369,7 +378,7 @@ class SymbolicGraphView:
         bdd = self.bdd
         result = bdd.false
         for piece in self.pieces_of(edge):
-            enabled = bdd.apply_and(self.reached, piece.enabling)
+            enabled = self.sources(piece.index)
             if enabled == bdd.false:
                 continue
             result = bdd.apply_or(result, self.piece_image(enabled, piece))
@@ -399,18 +408,10 @@ class SymbolicGraphView:
         return result
 
     def pre_of(self, piece_index: int, target: Node) -> Node:
-        """``{x : piece(x) ∈ target}`` — the chain of single-variable
-        restrictions of ``target`` at the piece's after values (memoized;
-        independent of the enabling)."""
-        key = (piece_index, target)
-        cached = self._pre_cache.get(key)
-        if cached is None:
-            bdd = self.bdd
-            cached = target
-            for level, value in self.pieces[piece_index].after_values.items():
-                cached = bdd.restrict(cached, level, value)
-            self._pre_cache[key] = cached
-        return cached
+        """``{x : piece(x) ∈ target}`` — the cofactor of ``target`` by the
+        piece's after cube, independent of the enabling.  The manager's
+        cofactor table memoizes it, across views and reorders."""
+        return self.bdd.cofactor(target, self.pieces[piece_index].after)
 
     # ------------------------------------------------------------------
     # enumeration / decoding (canonical orderings, tests)
@@ -565,7 +566,7 @@ def _event_crossing(
     outside_targets = bdd.false
     for piece in pieces:
         index = piece.index
-        src = bdd.apply_and(view.reached, piece.enabling)
+        src = view.sources(index)
         if src == bdd.false:
             continue
         target_in = view.pre_of(index, block)
@@ -806,17 +807,17 @@ def brick_adjacency_symbolic(
 # exit borders and I-partitions
 # ----------------------------------------------------------------------
 def exit_border_symbolic(view: SymbolicGraphView, block: Node) -> Node:
-    """``EB(block)``: members with a transition leaving the block."""
+    """``EB(block)``: members with a transition leaving the block,
+    ``B ∧ ⋁_p (D_p ∧ ¬pre_p(B))`` — one conjunction with the block
+    (``D_p`` already lies inside the reached set)."""
     bdd = view.bdd
-    border = bdd.false
-    members = bdd.apply_and(block, view.reached)
-    for index, piece in enumerate(view.pieces):
-        escaping = bdd.apply_and(
-            bdd.apply_and(members, piece.enabling),
-            bdd.apply_not(view.pre_of(index, block)),
+    escaping = bdd.false
+    for index in range(len(view.pieces)):
+        escaping = bdd.apply_or(
+            escaping,
+            bdd.apply_diff(view.sources(index), view.pre_of(index, block)),
         )
-        border = bdd.apply_or(border, escaping)
-    return border
+    return bdd.apply_and(block, escaping)
 
 
 def min_wellformed_exit_border_symbolic(
@@ -883,7 +884,7 @@ def entering_signals_symbolic(view: SymbolicGraphView, subset: Node) -> Set[str]
         if piece.edge.signal in signals:
             continue
         entering = bdd.apply_and(
-            bdd.apply_and(view.reached, piece.enabling),
+            view.sources(index),
             bdd.apply_and(not_subset, view.pre_of(index, subset)),
         )
         if entering != bdd.false:
@@ -903,7 +904,7 @@ def delayed_signals_symbolic(
     for index, piece in enumerate(view.pieces):
         if piece.edge.signal in signals:
             continue
-        src = bdd.apply_and(view.reached, piece.enabling)
+        src = view.sources(index)
         postponed = bdd.apply_or(
             bdd.apply_and(
                 bdd.apply_and(src, partition.splus), view.pre_of(index, one_side)
@@ -929,7 +930,7 @@ def delayed_edges_symbolic(
     for index, piece in enumerate(view.pieces):
         if piece.edge in edges:
             continue
-        src = bdd.apply_and(view.reached, piece.enabling)
+        src = view.sources(index)
         postponed = bdd.apply_or(
             bdd.apply_and(
                 bdd.apply_and(src, partition.splus), view.pre_of(index, one_side)

@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) for the core data structures."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.bdd import BDD
+from repro.bdd import BDD, prime_map
 from repro.core.regions import crossing, is_region
 from repro.logic.cubes import Cube
 from repro.logic.minimize import minimize_cover, verify_cover
@@ -267,3 +267,123 @@ def test_grouped_sifting_preserves_pair_relations(num_pairs, data):
     groups = [(2 * k, 2 * k + 1) for k in range(num_pairs)]
     bdd.reorder(groups=groups)
     assert bdd.sat_count(relation, levels) == before
+
+
+# ----------------------------------------------------------------------
+# BDD computed tables: cube cofactor, rename and sat_count
+# ----------------------------------------------------------------------
+def _random_function(bdd, num_vars, data, variables=None):
+    """A random sum of random cubes over ``variables`` (all by default)."""
+    pool = list(range(num_vars)) if variables is None else list(variables)
+    function = bdd.false
+    for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+        literals = data.draw(st.sets(st.sampled_from(pool), min_size=1))
+        cube = {var: data.draw(st.integers(min_value=0, max_value=1)) for var in literals}
+        function = bdd.apply_or(function, bdd.cube(cube))
+    return function
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.data())
+def test_cube_cofactor_equals_chained_restrict(num_vars, data):
+    bdd = BDD(num_vars)
+    function = _random_function(bdd, num_vars, data)
+    literals = data.draw(st.sets(st.integers(min_value=0, max_value=num_vars - 1)))
+    assignment = {var: data.draw(st.integers(min_value=0, max_value=1)) for var in literals}
+    cofactor = bdd.cofactor(function, bdd.cube(assignment))
+    chained = function
+    for var, value in assignment.items():
+        chained = bdd.restrict(chained, var, value)
+    assert cofactor == chained
+    # pointwise: the cofactor ignores the cube's variables
+    for bits in range(1 << num_vars):
+        point = [(bits >> var) & 1 for var in range(num_vars)]
+        fixed = [assignment.get(var, value) for var, value in enumerate(point)]
+        assert bdd.evaluate(cofactor, point) == bdd.evaluate(function, fixed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.data())
+def test_computed_tables_agree_across_reorder(num_pairs, data):
+    """Warm cofactor/rename/sat_count tables give the same functions and
+    counts after sifting as before (and as a fresh computation)."""
+    bdd = BDD(2 * num_pairs)
+    unprimed = [2 * i for i in range(num_pairs)]
+    functions = [
+        _random_function(bdd, 2 * num_pairs, data, unprimed)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3)))
+    ]
+    literals = data.draw(st.sets(st.sampled_from(unprimed)))
+    cube = bdd.cube({var: data.draw(st.integers(min_value=0, max_value=1)) for var in literals})
+    mapping = prime_map(num_pairs)
+    everything = list(range(2 * num_pairs))
+
+    def snapshot():
+        return [
+            (
+                bdd.cofactor(f, cube),
+                bdd.rename(f, mapping),
+                bdd.sat_count(f, unprimed),
+                bdd.sat_count(bdd.apply_and(f, bdd.rename(f, mapping)), everything),
+            )
+            for f in functions
+        ]
+
+    before = snapshot()
+    assert snapshot() == before  # warm tables answer like cold ones
+    bdd.reorder(groups=[(2 * k, 2 * k + 1) for k in range(num_pairs)])
+    after = snapshot()
+    for old, new in zip(before, after):
+        # node ids of the same function may differ once the order moved
+        assert bdd.apply_xor(old[0], new[0]) == bdd.false
+        assert bdd.apply_xor(old[1], new[1]) == bdd.false
+        assert old[2:] == new[2:]
+    # and the counts are the true ones, by enumeration
+    for function, (_c, _r, count, _p) in zip(functions, after):
+        points = 0
+        for bits in range(1 << num_pairs):
+            point = [0] * (2 * num_pairs)
+            for i, var in enumerate(unprimed):
+                point[var] = (bits >> i) & 1
+            points += bdd.evaluate(function, point)
+        assert count == points
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=3, max_value=6), st.data())
+def test_bounded_manager_flushes_the_new_tables(num_vars, data):
+    bounded = BDD(2 * num_vars, max_cache_entries=1)
+    free = BDD(2 * num_vars)
+    unprimed = [2 * i for i in range(num_vars)]
+    # the same random draws build the same function in both managers
+    choices = [
+        (
+            data.draw(st.sets(st.sampled_from(unprimed), min_size=2)),
+            data.draw(st.integers(min_value=0, max_value=(1 << num_vars) - 1)),
+        )
+        for _ in range(4)
+    ]
+
+    def results(bdd):
+        function = bdd.false
+        for literals, values in choices:
+            cube = {var: (values >> (var // 2)) & 1 for var in literals}
+            function = bdd.apply_or(function, bdd.cube(cube))
+        # one node per table cannot overflow a one-entry table
+        assume(len(bdd.support(function)) >= 2)
+        cofactored = bdd.cofactor(function, bdd.cube({unprimed[0]: 1}))
+        renamed = bdd.rename(function, prime_map(num_vars))
+        return (
+            bdd.sat_count(cofactored, unprimed),
+            bdd.sat_count(renamed, [v + 1 for v in unprimed]),
+            bdd.sat_count(function, unprimed),
+        )
+
+    assert results(bounded) == results(free)
+    stats = bounded.cache_stats()
+    for family in ("cofactor", "rename", "sat_count"):
+        assert family in stats["families"]
+        assert stats[f"{family}_entries"] <= 1
+    assert stats["families"]["rename"]["flushes"] >= 1
+    assert stats["families"]["sat_count"]["flushes"] >= 1
+    assert stats["flushes"] == sum(f["flushes"] for f in stats["families"].values())

@@ -172,6 +172,42 @@ a- a+
         with pytest.raises(GFormatError):
             parse_g(".model x\n.inputs a\n.outputs b\n.graph\na+ b+\n.marking { nowhere }\n.end\n")
 
+    @pytest.mark.parametrize(
+        "text, line, fragment",
+        [
+            (
+                ".model x\n.inputs a\n.outputs b\n.graph\na+ p0\np0 p1\np1 a-\n"
+                ".marking { p0 }\n.end\n",
+                6,
+                "cannot connect two places",
+            ),
+            (
+                ".model x\n.inputs a\n.outputs b\n.graph\na+ p0\np0 a-\n"
+                ".marking { p0=x }\n.end\n",
+                7,
+                "not an integer",
+            ),
+            (
+                ".model x\n.inputs a\n.outputs b\n.graph\na+ p0\np0 a-\n"
+                ".marking { p0=-1 }\n.end\n",
+                7,
+                "is negative",
+            ),
+            (
+                ".model x\n.inputs a\n.outputs a\n.graph\na+ a-\n.end\n",
+                3,
+                "already declared as input",
+            ),
+        ],
+        ids=["place-to-place-arc", "marking-count", "negative-count", "input-and-output"],
+    )
+    def test_malformed_input_names_its_line(self, text, line, fragment):
+        with pytest.raises(GFormatError) as caught:
+            parse_g(text)
+        assert caught.value.line == line
+        assert f"line {line}:" in str(caught.value)
+        assert fragment in str(caught.value)
+
     def test_roundtrip_preserves_structure(self):
         original = parse_g(VME_G)
         text = stg_to_g_text(original)

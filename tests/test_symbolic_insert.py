@@ -30,6 +30,7 @@ from repro.core.excitation import excitation_regions
 from repro.core.ipartition import ipartition_from_block, min_wellformed_exit_border
 from repro.core.search import SearchSettings
 from repro.core.solver import SolverSettings, solve_csc
+from repro.obs import collect_phases, export_chrome_trace, start_trace, stop_trace
 from repro.stg.state_graph import build_state_graph
 from repro.symbolic.insert import solve_csc_symbolic
 from repro.symbolic.regions import (
@@ -80,6 +81,13 @@ class TestRegionMachinery:
         nodes = compute_bricks_symbolic(view)
         assert [frozenset(b) for b in explicit] == _state_sets(view, nodes)
         assert brick_adjacency(sg.ts, explicit) == brick_adjacency_symbolic(view, nodes)
+
+    def test_piece_after_is_the_preimage_cube(self, graphs):
+        # pre_of cofactors by piece.after: it must be exactly the cube of
+        # the constants the piece assigns
+        _sg, view = graphs
+        for piece in view.pieces:
+            assert piece.after == view.bdd.cube(piece.after_values)
 
     def test_partitions_borders_and_costs_match(self, graphs):
         sg, view = graphs
@@ -165,3 +173,29 @@ class TestSolveConformance:
         fingerprint = result.fingerprint()
         assert "cpu_seconds" not in fingerprint
         assert summary.keys() - fingerprint.keys() == {"cpu_seconds"}
+
+
+# ----------------------------------------------------------------------
+# observability: the symbolic search's span tree
+# ----------------------------------------------------------------------
+class TestSearchSpans:
+    def test_collect_phases_reports_every_search_phase(self):
+        with collect_phases() as phases:
+            solve_csc_symbolic(SymbolicStateGraph(vme_controller()))
+        for phase in ("bricks", "evaluate", "merge", "sip"):
+            assert phases.get(f"symbolic.search.{phase}", 0.0) > 0.0, phase
+
+    def test_fingerprint_identical_with_trace_writer_on(self, tmp_path):
+        quiet = solve_csc_symbolic(SymbolicStateGraph(vme_controller()))
+        start_trace(str(tmp_path / "spool"))
+        try:
+            traced = solve_csc_symbolic(SymbolicStateGraph(vme_controller()))
+            assert export_chrome_trace(str(tmp_path / "trace.json")) > 0
+        finally:
+            stop_trace(cleanup=True)
+        assert json.dumps(traced.fingerprint(), sort_keys=True) == json.dumps(
+            quiet.fingerprint(), sort_keys=True
+        )
+        events = json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
+        names = {event["name"] for event in events}
+        assert {"symbolic.search.bricks", "symbolic.search.sip"} <= names
